@@ -5,10 +5,23 @@ Strategy (per the HPC guides: vectorize the inner loops, mind memory):
 1. project every vertex once (one matrix multiply for the whole mesh);
 2. cull faces behind the near plane, zero-area faces, and (optionally)
    backfaces;
-3. bucket the survivors by bounding-box size (4, 8, 16, ... pixels), then
-   for each bucket evaluate barycentric coordinates for *all faces of the
-   bucket at once* on a shared ``B x B`` offset grid — a single broadcast
-   of shape ``(faces, B*B)``;
+3. rasterize the survivors in blocks, evaluating barycentric coordinates
+   for *all faces of a block at once* on a shared ``B x B`` offset grid —
+   a single broadcast of shape ``(faces, B*B)``:
+
+   - *sub-pixel pass*: a face whose clamped floor/ceil box is at most
+     3 px can only cover the pixel centres inside its closed bounding
+     box, so its box shrinks to the window ``[ceil(min - 0.5),
+     floor(max - 0.5)]`` per axis.  Faces with an empty window (most of
+     a distant model) are dropped before any edge-function work; the
+     rest form one block sized to the largest window (2 px, or 3 px
+     where a box is clamped at the right or bottom edge);
+   - the larger faces are bucketed by box size (4, 8, 16, ... pixels),
+     one block per bucket;
+
+   faces run in the stable ``argsort`` order of box size, smallest
+   first, so when fragments tie on depth the face later in that order
+   writes the color, wherever the block boundaries fall;
 4. depth-test with a two-pass scatter: ``np.minimum.at`` builds the winning
    depth per pixel, then fragments equal to the winner write color.
 
@@ -94,12 +107,10 @@ def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
     screen, w = camera.project_vertices(mesh.vertices, width, height)
 
     faces = mesh.faces
-    p0 = screen[faces[:, 0]]
-    p1 = screen[faces[:, 1]]
-    p2 = screen[faces[:, 2]]
-    w0v = w[faces[:, 0]]
-    w1v = w[faces[:, 1]]
-    w2v = w[faces[:, 2]]
+    corners_all = screen[faces]                           # (n, 3, 3)
+    w_all = w[faces]                                      # (n, 3)
+    p0, p1, p2 = corners_all[:, 0], corners_all[:, 1], corners_all[:, 2]
+    w0v, w1v, w2v = w_all[:, 0], w_all[:, 1], w_all[:, 2]
 
     # -- cull: near plane ------------------------------------------------------
     in_front = ((w0v > camera.near) & (w1v > camera.near)
@@ -117,10 +128,14 @@ def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
     keep = in_front & facing
 
     # -- cull: off-screen bounding boxes -----------------------------------------
-    bx0 = np.floor(np.minimum(np.minimum(p0[:, 0], p1[:, 0]), p2[:, 0]))
-    bx1 = np.ceil(np.maximum(np.maximum(p0[:, 0], p1[:, 0]), p2[:, 0]))
-    by0 = np.floor(np.minimum(np.minimum(p0[:, 1], p1[:, 1]), p2[:, 1]))
-    by1 = np.ceil(np.maximum(np.maximum(p0[:, 1], p1[:, 1]), p2[:, 1]))
+    xmin = np.minimum(np.minimum(p0[:, 0], p1[:, 0]), p2[:, 0])
+    xmax = np.maximum(np.maximum(p0[:, 0], p1[:, 0]), p2[:, 0])
+    ymin = np.minimum(np.minimum(p0[:, 1], p1[:, 1]), p2[:, 1])
+    ymax = np.maximum(np.maximum(p0[:, 1], p1[:, 1]), p2[:, 1])
+    bx0 = np.floor(xmin)
+    bx1 = np.ceil(xmax)
+    by0 = np.floor(ymin)
+    by1 = np.ceil(ymax)
     on_screen = (bx1 >= 0) & (bx0 < width) & (by1 >= 0) & (by0 < height)
     n_off = int((keep & ~on_screen).sum())
     keep &= on_screen
@@ -157,8 +172,8 @@ def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
 
     depth_flat = fb.depth.reshape(-1)
     color_flat = fb.color.reshape(-1, 3)
-    inv_w = 1.0 / np.stack([w0v[idx], w1v[idx], w2v[idx]], axis=1)
-    corners = np.stack([p0[idx], p1[idx], p2[idx]], axis=1)  # (k, 3, 3)
+    inv_w = 1.0 / w_all[idx]                              # (k, 3)
+    corners = corners_all[idx]                            # (k, 3, 3)
     area_k = area[idx]
     total_fragments = 0
 
@@ -245,17 +260,36 @@ def rasterize_mesh(mesh: Mesh, camera: Camera, fb: FrameBuffer,
         color_flat[pix_w] = np.clip(rgb, 0.0, 255.0).astype(np.uint8)
         return int(inside.sum())
 
-    order = np.argsort(bmax, kind="stable")
-    pos = 0
-    for B in _BUCKETS:
-        hi = int(np.searchsorted(bmax[order], B, side="right"))
-        block = order[pos:pos + (hi - pos)]
-        pos = hi
-        if not len(block):
-            continue
+    def _raster_bucket(block: np.ndarray, B: int) -> int:
+        """Rasterize ``block`` on a BxB grid in chunks of bounded size."""
         chunk = max(1, max_fragments // (B * B))
-        for start in range(0, len(block), chunk):
-            total_fragments += _raster_block(block[start:start + chunk], B)
+        return sum(_raster_block(block[start:start + chunk], B)
+                   for start in range(0, len(block), chunk))
+
+    order = np.argsort(bmax, kind="stable")
+    bmax_sorted = bmax[order]
+    # sub-pixel pass: only pixel centres inside a face's closed bounding
+    # box can pass the edge test, so shrink each <=3 px box to that window
+    pos = int(np.searchsorted(bmax_sorted, 3, side="right"))
+    sub = order[:pos]
+    ks = idx[sub]
+    wx0 = np.maximum(bx0[sub], np.ceil(xmin[ks] - 0.5)).astype(np.int64)
+    wx1 = np.minimum(bx1[sub], np.floor(xmax[ks] - 0.5)).astype(np.int64)
+    wy0 = np.maximum(by0[sub], np.ceil(ymin[ks] - 0.5)).astype(np.int64)
+    wy1 = np.minimum(by1[sub], np.floor(ymax[ks] - 0.5)).astype(np.int64)
+    hit = (wx0 <= wx1) & (wy0 <= wy1)  # faces with no centre are dropped
+    if hit.any():
+        sub = sub[hit]
+        bx0[sub], bx1[sub] = wx0[hit], wx1[hit]
+        by0[sub], by1[sub] = wy0[hit], wy1[hit]
+        B = int(max((wx1 - wx0)[hit].max(), (wy1 - wy0)[hit].max())) + 1
+        total_fragments += _raster_bucket(sub, B)
+    for B in _BUCKETS:
+        hi = int(np.searchsorted(bmax_sorted, B, side="right"))
+        block = order[pos:hi]
+        pos = hi
+        if len(block):
+            total_fragments += _raster_bucket(block, B)
     # oversized boxes: per-face full-bbox pass
     for sel in order[pos:]:
         B = int(bmax[sel])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.meshes import Mesh, merge_meshes
+from repro.data.textures import Texture
 from repro.errors import RenderError
 from repro.render.camera import Camera
 from repro.render.framebuffer import FrameBuffer
@@ -221,3 +222,178 @@ class TestChunking:
         stats = rasterize_mesh(tri, cam, fb)
         assert stats.faces_rasterized == 1
         assert fb.coverage() > 0.5
+
+
+# -- oracle: brute-force reference rasterizer ---------------------------------
+
+def _unproject(cam: Camera, width: int, height: int, sx, sy, depth):
+    """World points that ``cam`` (on +z, looking at the origin, y up)
+    projects to screen ``(sx, sy)`` at view distance ``depth``."""
+    f = 1.0 / np.tan(np.radians(cam.fov_degrees) / 2.0)
+    x = (2.0 * sx / width - 1.0) * depth * (width / height) / f
+    y = (1.0 - 2.0 * sy / height) * depth / f
+    return np.stack([x, y, cam.position[2] - depth], axis=-1)
+
+
+def _oracle_mesh(seed: int, width: int, height: int, cam: Camera,
+                 textured: bool) -> Mesh:
+    """A seeded triangle soup mixing every rasterizer regime.
+
+    Triangles are placed in screen space, then unprojected: sub-pixel
+    faces, slivers, large faces, faces clamped at the right/bottom edge
+    and partly or wholly off-screen, faces behind the near plane, and
+    exact duplicates in other colors (depth ties).
+    """
+    rng = np.random.default_rng(seed)
+    W, H = width, height
+
+    def around(centres, spread):
+        return centres[:, None, :] + rng.uniform(
+            -spread, spread, (len(centres), 3, 2))
+
+    def anywhere(n, margin):
+        return np.stack([rng.uniform(-margin, W + margin, n),
+                         rng.uniform(-margin, H + margin, n)], axis=1)
+
+    tris = [around(anywhere(240, 1.5), 0.9),           # sub-pixel
+            around(anywhere(12, 6.0), 14.0)]           # large
+    # slivers: a long edge and a third vertex just off its midpoint
+    a = anywhere(16, 2.0)
+    b = a + rng.uniform(-25.0, 25.0, a.shape)
+    normal = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    tris.append(np.stack([a, b, (a + b) / 2 + 0.05 * normal], axis=1))
+    # small faces straddling the right and bottom edges
+    right = np.stack([rng.uniform(W - 3.0, W + 0.5, 30),
+                      rng.uniform(0.0, H, 30)], axis=1)
+    bottom = np.stack([rng.uniform(0.0, W, 30),
+                       rng.uniform(H - 3.0, H + 0.5, 30)], axis=1)
+    tris += [right[:, None, :] + rng.uniform(0.0, 4.0, (30, 3, 2)),
+             bottom[:, None, :] + rng.uniform(0.0, 4.0, (30, 3, 2))]
+    # faces whose clamped box is 3 px but covers 3 pixel centres
+    mx, my = W // 2, H // 2
+    tris.append(np.array([
+        [[W - 2.8, my + 0.1], [W + 6.0, my + 1.0], [W - 2.8, my + 1.9]],
+        [[mx + 0.1, H - 2.8], [mx + 1.0, H + 6.0], [mx + 1.9, H - 2.8]]]))
+    screen = np.concatenate(tris)                      # (n, 3, 2)
+    depth = rng.uniform(2.0, 4.5, screen.shape[:2])
+    depth[rng.choice(len(depth), 6, replace=False), 0] = 0.01  # near cull
+    # exact duplicates of some faces: same positions, other colors
+    dup = rng.choice(len(screen), 20, replace=False)
+    screen = np.concatenate([screen, screen[dup]])
+    depth = np.concatenate([depth, depth[dup]])
+
+    vertices = _unproject(cam, W, H, screen[..., 0], screen[..., 1],
+                          depth).reshape(-1, 3)
+    faces = np.arange(len(vertices), dtype=np.int32).reshape(-1, 3)
+    faces = faces[rng.permutation(len(faces))]
+    colors = rng.uniform(0.0, 1.0, vertices.shape)
+    if not textured:
+        return Mesh(vertices, faces, colors=colors)
+    image = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
+    return Mesh(vertices, faces, uv=rng.uniform(0.0, 1.0, (len(vertices), 2)),
+                texture=Texture(image))
+
+
+def _reference_rasterize(mesh: Mesh, cam: Camera, fb: FrameBuffer,
+                         shading: str, cull_backfaces: bool) -> tuple:
+    """Brute force: every pixel centre of each face's clamped box.
+
+    Faces run one at a time in the stable order of their clamped box
+    size, each with the same edge functions and the same two-pass
+    depth/color update as the vectorized rasterizer.
+    """
+    W, H = fb.width, fb.height
+    screen, w = cam.project_vertices(mesh.vertices, W, H)
+    textured = mesh.texture is not None
+    if textured:
+        intensity = gouraud_intensity(mesh)
+    elif shading == "flat":
+        face_rgb = (flat_intensity(mesh)[:, None]
+                    * mesh.colors[mesh.faces].mean(axis=1) * 255.0)
+    else:
+        vert_rgb = (gouraud_intensity(mesh)[:, None]
+                    * mesh.colors.astype(np.float64) * 255.0)
+    n_near = n_back = n_off = 0
+    boxes = []
+    for f, tri in enumerate(mesh.faces):
+        (x0, y0, _), (x1, y1, _), (x2, y2, _) = screen[tri]
+        if not (w[tri] > cam.near).all():
+            n_near += 1
+            continue
+        a = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        if (a >= -1e-12) if cull_backfaces else (abs(a) <= 1e-12):
+            n_back += 1
+            continue
+        box = (np.floor(min(x0, x1, x2)), np.ceil(max(x0, x1, x2)),
+               np.floor(min(y0, y1, y2)), np.ceil(max(y0, y1, y2)))
+        if box[1] < 0 or box[0] >= W or box[3] < 0 or box[2] >= H:
+            n_off += 1
+            continue
+        bx0, bx1 = (int(np.clip(v, 0, W - 1)) for v in box[:2])
+        by0, by1 = (int(np.clip(v, 0, H - 1)) for v in box[2:])
+        boxes.append((max(bx1 - bx0, by1 - by0) + 1, f, a,
+                      (bx0, bx1, by0, by1)))
+    depth_flat = fb.depth.reshape(-1)
+    color_flat = fb.color.reshape(-1, 3)
+    fragments = 0
+    for _, f, a, (bx0, bx1, by0, by1) in sorted(boxes, key=lambda b: b[0]):
+        tri = mesh.faces[f]
+        (x0, y0, _), (x1, y1, _), (x2, y2, _) = screen[tri]
+        py, px = np.mgrid[by0:by1 + 1, bx0:bx1 + 1]
+        cx, cy = px + 0.5, py + 0.5
+        l0 = (x1 - x0) * (cy - y0) - (y1 - y0) * (cx - x0)
+        l1 = (x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1)
+        l2 = (x0 - x2) * (cy - y2) - (y0 - y2) * (cx - x2)
+        inv_a = 1.0 / a
+        b0, b1, b2 = l1 * inv_a, l2 * inv_a, l0 * inv_a
+        inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
+        fragments += int(inside.sum())
+        b0, b1, b2 = b0[inside], b1[inside], b2[inside]
+        iw = 1.0 / w[tri]
+        z = (1.0 / (b0 * iw[0] + b1 * iw[1] + b2 * iw[2])).astype(np.float32)
+        pix = (py * W + px)[inside]
+        np.minimum.at(depth_flat, pix, z)
+        won = depth_flat[pix] == z
+        b0, b1, b2 = b0[won], b1[won], b2[won]
+        if textured:
+            uv = mesh.uv[tri].astype(np.float64)
+            u = b0 * uv[0, 0] + b1 * uv[1, 0] + b2 * uv[2, 0]
+            v = b0 * uv[0, 1] + b1 * uv[1, 1] + b2 * uv[2, 1]
+            vi = intensity[tri]
+            rgb = (mesh.texture.sample(u % 1.0, v % 1.0)
+                   * (b0 * vi[0] + b1 * vi[1] + b2 * vi[2])[:, None])
+        elif shading == "flat":
+            rgb = np.broadcast_to(face_rgb[f], (int(won.sum()), 3))
+        else:
+            vr = vert_rgb[tri]
+            rgb = (b0[:, None] * vr[0] + b1[:, None] * vr[1]
+                   + b2[:, None] * vr[2])
+        color_flat[pix[won]] = np.clip(rgb, 0.0, 255.0).astype(np.uint8)
+    n_in = len(mesh.faces)
+    return (n_in, n_near, n_back, n_off, n_in - n_near - n_back - n_off,
+            fragments)
+
+
+class TestOracle:
+    """The vectorized rasterizer equals a brute-force per-face loop."""
+
+    @pytest.mark.parametrize("width,height", [(48, 40), (37, 29)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shading,cull", [
+        ("flat", False), ("gouraud", False), ("textured", False),
+        ("flat", True)])
+    def test_matches_brute_force(self, seed, width, height, shading, cull):
+        cam = Camera.looking_at((0, 0, 5), target=(0, 0, 0), up=(0, 1, 0))
+        mesh = _oracle_mesh(seed, width, height, cam,
+                            textured=shading == "textured")
+        mode = "gouraud" if shading == "textured" else shading
+        got, want = FrameBuffer(width, height), FrameBuffer(width, height)
+        stats = rasterize_mesh(mesh, cam, got, shading=mode,
+                               cull_backfaces=cull)
+        expected = _reference_rasterize(mesh, cam, want, mode, cull)
+        assert (stats.faces_in, stats.faces_culled_near,
+                stats.faces_culled_backface, stats.faces_culled_offscreen,
+                stats.faces_rasterized, stats.fragments) == expected
+        assert np.array_equal(got.depth, want.depth)
+        assert np.array_equal(got.color, want.color)
