@@ -55,6 +55,7 @@ from repro.core.session import CollaborativeSession
 from repro.errors import (
     InsufficientResources,
     NetworkError,
+    SceneGraphError,
     ServiceError,
     SessionError,
 )
@@ -429,7 +430,10 @@ class SessionGridManager:
             for service in chosen:
                 session.connect(service)
             session.place_dataset()
-        except (InsufficientResources, ServiceError, NetworkError):
+        except (InsufficientResources, SceneGraphError, ServiceError,
+                NetworkError):
+            # SceneGraphError: the scene would not pack into the members'
+            # fragmented headroom even though the total spare covers it
             for service in list(session.render_services):
                 try:
                     session.disconnect(service)

@@ -830,3 +830,49 @@ class TestClientHonoursRetryAfter:
                                      retries=2)
         assert err.value.retry_after == 3.0
         assert client.admission_retries == 2
+
+
+class TestUnpackableSceneStaysQueued:
+    """Regression: a scene that will not pack is a failed placement.
+
+    With mixed sphere sizes the pool's spare can cover a request in total
+    while its members' headroom is too fragmented for the distributor to
+    pack the scene at any grain.  ``place_dataset`` then raises
+    ``SceneGraphError``.  It used to escape ``_try_admit``, and with it
+    ``pump()``, ``release_session`` and ``open_grid_session``; now the
+    attempt disconnects and the request waits like any other that does
+    not fit.
+    """
+
+    def loaded_grid(self):
+        # three 24-spheres leave 6.15 Mpps spare at 4000 fps, split
+        # 2.17/3.98 Mpps over the two members; a 28-sphere needs 6.05
+        tb = build_testbed()
+        grid = small_grid(tb, member_hosts=("centrino", "athlon"),
+                          queue_capacity=4, target_fps=4000.0)
+        open_tenants(grid, "acme", "beta")
+        for i in range(3):
+            decision = grid.request_session("acme", f"s{i}",
+                                            scene(i, nu=24))
+            assert decision.outcome == EVENT_ADMIT
+        return grid
+
+    def test_pump_leaves_an_unpackable_head_queued(self):
+        grid = self.loaded_grid()
+        spare = grid.spare_pps()
+        small = grid.request_session("beta", "small", scene("small", nu=20))
+        assert small.outcome == EVENT_ADMIT
+        big = grid.request_session("acme", "big", scene("big", nu=28))
+        assert big.outcome == EVENT_QUEUE
+        # freeing the 20-sphere lets pump() try the 28-sphere at the head
+        assert grid.release_session("small") == []
+        assert grid.queue_position("big") is not None
+        assert [gs.session_id for gs in grid.sessions()] \
+            == ["s0", "s1", "s2"]
+        # the failed attempt gave its members back
+        assert grid.spare_pps() == spare
+
+    def test_direct_request_queues_instead_of_raising(self):
+        grid = self.loaded_grid()
+        decision = grid.request_session("acme", "big", scene("big", nu=28))
+        assert decision.outcome == EVENT_QUEUE
