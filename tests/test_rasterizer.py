@@ -322,7 +322,8 @@ def _reference_rasterize(mesh: Mesh, cam: Camera, fb: FrameBuffer,
             n_near += 1
             continue
         a = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-        if (a >= -1e-12) if cull_backfaces else (abs(a) <= 1e-12):
+        facing = a < -1e-12 if cull_backfaces else abs(a) > 1e-12
+        if not facing:
             n_back += 1
             continue
         box = (np.floor(min(x0, x1, x2)), np.ceil(max(x0, x1, x2)),
